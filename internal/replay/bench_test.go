@@ -122,3 +122,55 @@ func BenchmarkReplayObservers(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkReplayKernel compares the discrete-event replay kernel
+// against the minute-polling oracle on the paper's 11-week
+// lock-service replay (the Figures 6/7 workload: the paper-scale
+// market of 13 training weeks and 11 accounted weeks, failure
+// injection on). The headline metric is simulated minutes per second
+// of wall clock.
+func BenchmarkReplayKernel(b *testing.B) {
+	const trainWeeks, replayWeeks, seed = 13, 11, 2014
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: seed, Type: market.M1Small,
+		Zones: market.ExperimentZones(),
+		Start: 0, End: (trainWeeks + replayWeeks) * week,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{
+		{"Event", Run},
+		{"Polling", runPollingKernel},
+	} {
+		// Injected is the paper workload: the FP'=0.01 failure model's
+		// per-minute Bernoulli draws are part of the semantics, so even
+		// the event kernel steps draw-eligible minutes individually.
+		// Clean shows the pure jump advantage on a failure-free market.
+		for _, inject := range []struct {
+			name string
+			on   bool
+		}{{"Injected", true}, {"Clean", false}} {
+			b.Run(k.name+"/"+inject.name, func(b *testing.B) {
+				var minutes int64
+				for i := 0; i < b.N; i++ {
+					res, err := k.run(Config{
+						Traces: set, Start: trainWeeks * week,
+						Spec:            lockSpec(),
+						Strategy:        strategy.Extra{ExtraNodes: 2, Portion: 0.2},
+						IntervalMinutes: 3 * 60, Seed: seed,
+						InjectHardwareFailures: inject.on,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					minutes += res.TotalMinutes
+				}
+				b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
+			})
+		}
+	}
+}

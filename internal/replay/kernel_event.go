@@ -18,10 +18,17 @@ import (
 // visiting the minutes in between. A minute's status is its status
 // after every event of that minute — the same thing the polling kernel
 // observes evaluating after AdvanceTo.
+//
+// Transitions are reported the same way: at most one per minute,
+// carrying the minute's end status, after every event of that minute.
+// A change is held until the stream moves past its minute — the
+// tracker is subscribed ahead of the user observers, so it reports
+// before they see the next minute's first event — or until the kernel
+// settles the wake minute with flush. A same-minute down→up flip
+// therefore reports nothing.
 type availTracker struct {
-	engine.BaseObserver
 	spec strategy.ServiceSpec
-	p    controlPlane
+	p    *cloud.Provider
 	// emit reports quorum transitions (minute, down, live count).
 	emit func(minute int64, down bool, live int)
 
@@ -46,13 +53,43 @@ type availTracker struct {
 	down      bool
 	downSince int64
 	downTotal int64 // completed down-span minutes
+
+	reported  bool  // status last reported through emit
+	changedAt int64 // minute of the latest status change
 }
+
+// sync reports the held status change once the stream reaches a
+// later minute than the change's.
+func (t *availTracker) sync(minute int64) {
+	if minute > t.changedAt {
+		t.flush()
+	}
+}
+
+// flush reports the held status change, if the status still differs
+// from the last report.
+func (t *availTracker) flush() {
+	if t.down != t.reported {
+		t.reported = t.down
+		t.emit(t.changedAt, t.down, t.aliveCount)
+	}
+}
+
+// Every hook syncs first, so a held transition reaches the user
+// observers before any event of a later minute does.
+func (t *availTracker) OnOutOfBid(e engine.Event) { t.sync(e.Minute) }
+func (t *availTracker) OnDecision(e engine.Event) { t.sync(e.Minute) }
+func (t *availTracker) OnBilling(e engine.Event)  { t.sync(e.Minute) }
+func (t *availTracker) OnQuorum(e engine.Event)   { t.sync(e.Minute) }
+func (t *availTracker) OnModel(e engine.Event)    { t.sync(e.Minute) }
+func (t *availTracker) OnFault(e engine.Event)    { t.sync(e.Minute) }
 
 // OnInstance folds one lifecycle event into the aliveness state.
 func (t *availTracker) OnInstance(e engine.Event) {
 	if t.closed || !t.started {
 		return
 	}
+	t.sync(e.Minute)
 	// Events for request-backed instances carry the request ID and are
 	// routed by it; members registered by request stay registered
 	// across relaunches.
@@ -106,7 +143,7 @@ func (t *availTracker) set(i int, v bool, minute int64) {
 		t.downTotal += minute - t.downSince
 	}
 	t.down = down
-	t.emit(minute, down, t.aliveCount)
+	t.changedAt = minute
 }
 
 // rebuild installs a new fleet at an interval boundary, polling the
@@ -115,6 +152,7 @@ func (t *availTracker) set(i int, v bool, minute int64) {
 // is also under quorum the span continues seamlessly from the same
 // minute.
 func (t *availTracker) rebuild(members []member, minute int64) {
+	t.sync(minute)
 	wasDown := t.started && t.down
 	if wasDown {
 		t.downTotal += minute - t.downSince
@@ -150,9 +188,7 @@ func (t *availTracker) rebuild(members []member, minute int64) {
 	if t.down {
 		t.downSince = minute
 	}
-	if t.down != wasDown {
-		t.emit(minute, t.down, t.aliveCount)
-	}
+	t.changedAt = minute
 }
 
 // fleetUnits returns each member's capacity units (appended to buf),
@@ -183,7 +219,9 @@ func (t *availTracker) downThrough(minute int64) int64 {
 // runEvent is the discrete-event kernel: the provider jumps between
 // scheduled transitions, the tracker integrates availability from the
 // event stream, and the loop below only wakes at decision minutes,
-// interval boundaries, and the end of accounting.
+// interval boundaries, and the end of accounting. Within a wake minute
+// it keeps the polling oracle's order: advance, install and retire,
+// resize, quorum, decide.
 func (r *run) runEvent() error {
 	tr := &availTracker{spec: r.cfg.Spec, p: r.provider, emit: r.emitQuorum}
 	r.provider.Subscribe(tr)
@@ -241,6 +279,7 @@ func (r *run) runEvent() error {
 			}
 		}
 		r.provider.AdvanceTo(wake)
+		tr.sync(wake)
 		if wake == nextBoundary {
 			// Close the elapsed interval against the outgoing fleet,
 			// install the incoming one, then retire what it displaced.
@@ -270,21 +309,23 @@ func (r *run) runEvent() error {
 				nextDecision = engine.NoMinute
 			}
 		}
-		if wake == nextDecision {
-			if rz != nil {
+		decide := wake == nextDecision
+		if rz != nil {
+			if decide {
 				if err := rz.prepareDecision(wake); err != nil {
 					return err
 				}
 			}
+			if err := rz.act(wake, nextBoundary-r.lead); err != nil {
+				return err
+			}
+		}
+		tr.flush()
+		if decide {
 			if intervalLen, err = r.decideAndLaunch(); err != nil {
 				return err
 			}
 			nextDecision = engine.NoMinute // next one set at the boundary
-		}
-		if rz != nil {
-			if err := rz.act(wake, nextBoundary-r.lead); err != nil {
-				return err
-			}
 		}
 		if wake >= end-1 {
 			break

@@ -46,34 +46,35 @@ func crowdWorkload(t *testing.T, start, end, from, dur int64, peak float64) *wor
 func TestFlatWorkloadBitIdenticalToFixedN(t *testing.T) {
 	set := genTraces(t, 21, 1, market.M1Small)
 	start := 13 * week
-	for _, k := range []Kernel{KernelEvent, KernelPolling} {
+	for _, k := range kernels {
 		base := Config{
 			Traces: set, Start: start,
 			Spec: lockSpec(), Strategy: strategy.Extra{ExtraNodes: 1, Portion: 0.15},
 			IntervalMinutes: 180, Seed: 21,
-			InjectHardwareFailures: true, Kernel: k,
+			InjectHardwareFailures: true,
 		}
-		fixed, err := Run(base)
+		fixed, err := k.run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flat := base
 		flat.Workload = flatWorkload(t, start, set.End)
 		flat.Strategy = strategy.Extra{ExtraNodes: 1, Portion: 0.15}
-		got, err := Run(flat)
+		got, err := k.run(flat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fixed, got) {
-			t.Fatalf("kernel %d: flat workload diverges from fixed-n:\nfixed: %+v\nflat:  %+v", k, fixed, got)
+			t.Fatalf("%s kernel: flat workload diverges from fixed-n:\nfixed: %+v\nflat:  %+v", k.name, fixed, got)
 		}
 	}
 }
 
-// TestKernelsAgreeAutoscaled verifies the two kernels stay bit-identical
-// under gradual resize: a flash-crowd workload (and, in the chaos case,
-// the flash-crowd injector rewriting it) must produce deeply equal
-// Results from the event and polling kernels.
+// TestKernelsAgreeAutoscaled verifies the event kernel stays
+// bit-identical to the polling oracle under gradual resize: a
+// flash-crowd workload (and, in the chaos case, the flash-crowd
+// injector rewriting it) must produce deeply equal Results and
+// identical observer streams.
 func TestKernelsAgreeAutoscaled(t *testing.T) {
 	set := genTraces(t, 31, 1, market.M1Small)
 	start := 13 * week
@@ -94,24 +95,12 @@ func TestKernelsAgreeAutoscaled(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var results [2]*Result
-			for i, k := range []Kernel{KernelEvent, KernelPolling} {
-				res, err := Run(Config{
-					Traces: set, Start: start,
-					Spec: lockSpec(), Strategy: tc.mk(),
-					IntervalMinutes: 180, Seed: 31,
-					InjectHardwareFailures: tc.name == "extra-crowd-injected",
-					Chaos:                  tc.sc, Workload: tc.wl,
-					Kernel: k,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				results[i] = res
-			}
-			if !reflect.DeepEqual(results[0], results[1]) {
-				t.Fatalf("kernels diverge under autoscaling:\nevent:   %+v\npolling: %+v", results[0], results[1])
-			}
+			requireKernelsAgree(t, Config{
+				Traces: set, Start: start,
+				Spec: lockSpec(), IntervalMinutes: 180, Seed: 31,
+				InjectHardwareFailures: tc.name == "extra-crowd-injected",
+				Chaos:                  tc.sc, Workload: tc.wl,
+			}, tc.mk)
 		})
 	}
 }
