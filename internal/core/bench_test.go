@@ -53,7 +53,7 @@ func BenchmarkDecide(b *testing.B) {
 }
 
 // BenchmarkRefine measures the heterogeneous-bid descent in isolation:
-// n zones holding equal top-level bids, each with a staircase FP curve
+// n unit-weight pools holding equal top-level bids, each with a staircase FP curve
 // over 40 price levels, so the descent has real work at every group
 // size.
 func BenchmarkRefine(b *testing.B) {
@@ -64,10 +64,12 @@ func BenchmarkRefine(b *testing.B) {
 			for i := range levels {
 				levels[i] = market.Money(100 * (i + 1))
 			}
-			zones := make([]*refineZone, n)
-			for z := range zones {
+			pools := make([]*poolSnapshot, n)
+			for z := range pools {
 				z := z
-				zones[z] = &refineZone{
+				pools[z] = &poolSnapshot{
+					zone:  fmt.Sprintf("z%02d", z),
+					units: 1,
 					fpOf: func(bid market.Money) float64 {
 						// Staircase from ~0.3 down to ~1e-4, shifted per zone.
 						fp := 0.3
@@ -86,30 +88,22 @@ func BenchmarkRefine(b *testing.B) {
 					cur:    levels[0],
 				}
 			}
-			byName := make(map[string]*refineZone, n)
-			names := make([]string, n)
-			for z := range zones {
-				names[z] = fmt.Sprintf("z%02d", z)
-				byName[names[z]] = zones[z]
-			}
 			k := n/2 + 1
 			// Target sits below the all-top-level availability so the
 			// descent can actually lower bids.
 			top := make([]float64, n)
 			for i := range top {
-				top[i] = zones[i].fpOf(levels[nLevels-1])
+				top[i] = pools[i].fpOf(levels[nLevels-1])
 			}
-			target := quorum.ThresholdAvailability(k, top) * 0.999
+			target := quorum.WeightedThresholdAvailability(k, unitWeights(n), top) * 0.999
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				bids := make([]poolBid, n)
 				for z := range bids {
-					bids[z] = poolBid{zone: names[z], bid: levels[nLevels-1]}
+					bids[z] = poolBid{pool: pools[z], bid: levels[nLevels-1]}
 				}
-				refineBids(bids, k, target, func(zone string) *refineZone {
-					return byName[zone]
-				})
+				refineBidsWeighted(bids, k, target)
 			}
 		})
 	}

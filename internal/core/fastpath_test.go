@@ -94,24 +94,21 @@ func TestDecideParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// naiveRefineBids is the pre-evaluator implementation — linear next-level
+// naiveRefineBids is the pre-evaluator descent — linear next-level
 // scan, full availability DP per probe — kept as the oracle for the
-// incremental descent.
-func naiveRefineBids(bids []poolBid, k int, target float64, zoneInfo func(zone string) *refineZone) []poolBid {
+// incremental one.
+func naiveRefineBids(bids []poolBid, k int, target float64) []poolBid {
 	n := len(bids)
-	infos := make([]*refineZone, n)
+	units := make([]int, n)
 	fps := make([]float64, n)
-	for i, zb := range bids {
-		infos[i] = zoneInfo(zb.zone)
-		if infos[i] == nil {
-			return bids
-		}
-		fps[i] = infos[i].fpOf(zb.bid)
+	for i, pb := range bids {
+		units[i] = pb.pool.units
+		fps[i] = pb.pool.fpOf(pb.bid)
 	}
 	nextLower := func(i int) (market.Money, bool) {
 		var best market.Money = -1
-		for _, lv := range infos[i].levels {
-			if lv < bids[i].bid && lv >= infos[i].cur && lv > best {
+		for _, lv := range bids[i].pool.levels {
+			if lv < bids[i].bid && lv >= bids[i].pool.cur && lv > best {
 				best = lv
 			}
 		}
@@ -130,10 +127,10 @@ func naiveRefineBids(bids []poolBid, k int, target float64, zoneInfo func(zone s
 			if !ok {
 				continue
 			}
-			newFP := infos[i].fpOf(lower)
+			newFP := bids[i].pool.fpOf(lower)
 			old := fps[i]
 			fps[i] = newFP
-			feasible := quorum.ThresholdAvailability(k, fps) >= target
+			feasible := quorum.WeightedThresholdAvailability(k, units, fps) >= target
 			fps[i] = old
 			if !feasible {
 				continue
@@ -155,8 +152,8 @@ func naiveRefineBids(bids []poolBid, k int, target float64, zoneInfo func(zone s
 }
 
 // TestRefineBidsMatchesNaive property-tests the evaluator-backed
-// descent against the O(n³) original on random staircase FP curves:
-// same bids, same order, every trial.
+// descent against the O(n³) original on random staircase FP curves at
+// unit weights: same bids, same order, every trial.
 func TestRefineBidsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o"}
@@ -169,7 +166,6 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 			levels[i] = p
 			p += market.Money(1 + rng.Intn(150))
 		}
-		zones := make(map[string]*refineZone, n)
 		bids := make([]poolBid, n)
 		naiveBids := make([]poolBid, n)
 		for zi := 0; zi < n; zi++ {
@@ -181,7 +177,9 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 				v *= rng.Float64()
 			}
 			lv := append([]market.Money(nil), levels...)
-			zones[names[zi]] = &refineZone{
+			pool := &poolSnapshot{
+				zone:  names[zi],
+				units: 1,
 				fpOf: func(bid market.Money) float64 {
 					best := 1.0
 					for li, l := range lv {
@@ -195,24 +193,23 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 				cur:    levels[rng.Intn(nLevels/2+1)],
 			}
 			start := levels[nLevels/2+rng.Intn(nLevels-nLevels/2)]
-			bids[zi] = poolBid{zone: names[zi], bid: start}
+			bids[zi] = poolBid{pool: pool, bid: start}
 			naiveBids[zi] = bids[zi]
 		}
 		k := n/2 + 1
 		// A target the starting configuration meets with a little slack.
 		startFPs := make([]float64, n)
-		for zi := range bids {
-			startFPs[zi] = zones[bids[zi].zone].fpOf(bids[zi].bid)
+		for zi, pb := range bids {
+			startFPs[zi] = pb.pool.fpOf(pb.bid)
 		}
-		target := quorum.ThresholdAvailability(k, startFPs) * (0.97 + 0.02*rng.Float64())
+		target := quorum.WeightedThresholdAvailability(k, unitWeights(n), startFPs) * (0.97 + 0.02*rng.Float64())
 
-		lookup := func(z string) *refineZone { return zones[z] }
-		got := refineBids(bids, k, target, lookup)
-		want := naiveRefineBids(naiveBids, k, target, lookup)
+		got := refineBidsWeighted(bids, k, target)
+		want := naiveRefineBids(naiveBids, k, target)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (n=%d k=%d target=%v): bid %d = %+v, naive %+v",
-					trial, n, k, target, i, got[i], want[i])
+				t.Fatalf("trial %d (n=%d k=%d target=%v): bid %d = %s@%v, naive %s@%v",
+					trial, n, k, target, i, got[i].pool.zone, got[i].bid, want[i].pool.zone, want[i].bid)
 			}
 		}
 	}

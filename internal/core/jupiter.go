@@ -2,30 +2,35 @@
 // the availability- and cost-aware bidding framework (§4).
 //
 // At the start of each bidding interval, the online bidding algorithm
-// (paper Fig. 3) runs:
+// (paper Fig. 3) runs over the market's pools: the availability zones
+// of the service's instance type, plus (zone × type) pools when the
+// market offers several instance types.
 //
-//  1. For every candidate group size n, invert the service's quorum
-//     availability to the equalized per-node failure probability FP that
-//     still meets the availability of the on-demand baseline
-//     (node_failure_pr).
-//  2. For every availability zone, find the minimal bid whose estimated
-//     failure probability over the next interval is at most FP, using
-//     the semi-Markov spot-instance failure model (internal/smc). Bids
-//     are capped at the on-demand price (§4.2).
-//  3. Greedily take the n cheapest zones; the bid sum is the cost upper
-//     bound for that n (the paper's objective, Equation 8).
+//  1. For every candidate group size n, counted in base-node
+//     equivalents, invert the service's quorum availability to the
+//     equalized per-node failure probability FP that still meets the
+//     availability of the on-demand baseline (node_failure_pr).
+//  2. For every pool, find the minimal bid whose estimated failure
+//     probability over the next interval is at most FP, using the
+//     semi-Markov spot-instance failure model (internal/smc). Bids are
+//     capped at the on-demand price (§4.2).
+//  3. Greedily take the cheapest pools per capacity unit until they
+//     supply n base nodes, and check the group with the exact weighted
+//     quorum rule; its bid sum is the cost upper bound for that n (the
+//     paper's objective, Equation 8).
 //  4. Return the bids of the n with the lowest upper bound.
 //
-// When no group size can meet the availability target with spot
-// instances, Jupiter falls back to on-demand instances, matching the
-// paper's rule of preferring an on-demand instance over an even higher
-// spot bid.
+// A single-type deployment is the special case in which every pool is
+// a zone of one base node's weight, and step 3 is the paper's "take the
+// n cheapest zones". When no group size can meet the availability
+// target with spot instances, Jupiter falls back to on-demand
+// instances, matching the paper's rule of preferring an on-demand
+// instance over an even higher spot bid.
 package core
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/engine"
@@ -105,6 +110,10 @@ type Jupiter struct {
 	// never touch the degradation paths.
 	health    *healthTracker
 	lastStage DegradeStage
+
+	// plan is the pool planner's working memory, reused across
+	// decisions (pools.go).
+	plan planScratch
 
 	// prov, when set via UseRecorder, receives decision-provenance
 	// spans. It stays nil on unobserved runs, where Begin returns a nil
@@ -270,20 +279,15 @@ func (j *Jupiter) publishTrain(view strategy.MarketView, zone string, now int64,
 	})
 }
 
-// poolBid is a pool's minimal adequate bid for some failure target.
-// zone holds the pool key — the bare zone name for base-type pools.
-type poolBid struct {
-	zone string
-	bid  market.Money
-}
-
 // poolSnapshot is one pool's failure estimator for the current
 // interval, shared across all group sizes of a Decide. zone holds the
 // pool key — the bare zone name for base-type pools, "zone/type"
 // otherwise — and every lookup downstream (models, prices, quarantine)
-// is keyed by it.
+// is keyed by it. units is the pool's capacity in base-node units
+// (market.UnitsPerNode for a base-type pool).
 type poolSnapshot struct {
 	zone   string
+	units  int
 	minBid func(target float64) (market.Money, bool)
 	fpOf   func(bid market.Money) float64
 	levels []market.Money
@@ -310,6 +314,7 @@ type poolSnapshot struct {
 func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.ServiceSpec, zones []string, now, intervalMinutes int64, dt *provenance.DecisionTrace) ([]*poolSnapshot, error) {
 	type zoneWork struct {
 		zone  string
+		units int
 		model *smc.Model
 		cur   market.Money
 		age   int64
@@ -342,7 +347,11 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		if err != nil {
 			return nil, err
 		}
-		work = append(work, zoneWork{zone: z, model: m, cur: cur, age: age, od: od})
+		units, err := market.PoolCapacityUnits(z, spec.Type)
+		if err != nil {
+			continue // pool key outside the catalog; unusable
+		}
+		work = append(work, zoneWork{zone: z, units: units, model: m, cur: cur, age: age, od: od})
 	}
 
 	build := func(w zoneWork) *poolSnapshot {
@@ -354,7 +363,8 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		case ModeOneStep:
 			model, cur, age, od := w.model, w.cur, w.age, w.od
 			return &poolSnapshot{
-				zone: w.zone,
+				zone:  w.zone,
+				units: w.units,
 				minBid: func(target float64) (market.Money, bool) {
 					return model.MinimalBidOneStep(cur, age, target, j.FP0, od)
 				},
@@ -372,7 +382,8 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		}
 		fc, od := f, w.od
 		return &poolSnapshot{
-			zone: w.zone,
+			zone:  w.zone,
+			units: w.units,
 			minBid: func(target float64) (market.Money, bool) {
 				return fc.MinimalBid(target, j.FP0, od)
 			},
@@ -424,7 +435,8 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 }
 
 // Decide implements strategy.Strategy — the Fig. 3 online bidding
-// algorithm.
+// algorithm, run by the capacity-weighted pool planner (pools.go) over
+// the view's pools that pass the spec's minimum shape.
 func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, intervalMinutes int64) (strategy.Decision, error) {
 	if intervalMinutes <= 0 {
 		return strategy.Decision{}, fmt.Errorf("core: interval %d <= 0", intervalMinutes)
@@ -441,325 +453,7 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 		}
 		zones = filtered
 	}
-	// A view exposing typed pools routes through the capacity-weighted
-	// path (pools.go). Views of only bare-zone pools — every single-type
-	// deployment — take the zone path below, byte-identical to the
-	// pre-pool framework.
-	for _, z := range zones {
-		if market.IsTypedPoolKey(z) {
-			return j.decidePools(view, spec, zones, intervalMinutes)
-		}
-	}
-	target := spec.TargetAvailability()
-	now := view.Now()
-
-	// Staged degradation (health.go): stays StageHealthy — and changes
-	// nothing below — unless faults have been observed via OnFault.
-	stage := StageHealthy
-	if j.health != nil && j.health.faults > 0 {
-		stage = j.health.stage(now)
-	}
-	prevStage := j.lastStage
-	j.lastStage = stage
-
-	dt := j.prov.Begin(now)
-	if dt != nil {
-		emitStage(dt, prevStage, stage)
-	}
-
-	// One failure estimator per zone, shared across all group sizes.
-	// Forecast construction fans out over a bounded worker pool; the
-	// result is ordered by zone so every loop below is deterministic.
-	states, err := j.buildPoolSnapshots(view, spec, zones, now, intervalMinutes, dt)
-	if err != nil {
-		return strategy.Decision{}, err
-	}
-	if len(states) == 0 {
-		return j.fallbackTraced(view, spec, dt, "no-usable-pools")
-	}
-	byZone := make(map[string]*poolSnapshot, len(states))
-	for _, st := range states {
-		byZone[st.zone] = st
-	}
-
-	maxNodes := j.MaxNodes
-	if maxNodes <= 0 || maxNodes > len(zones) {
-		maxNodes = len(zones)
-	}
-	minNodes := spec.DataShards
-	if minNodes < 1 {
-		minNodes = 1
-	}
-	// A workload load target (strategy.LoadTargeter) raises the floor:
-	// the autoscaler's target group size is the least the decision may
-	// provision, clamped to what the market can host. Fixed-n runs
-	// attach no targeter and enumerate exactly as before.
-	if lt, ok := view.(strategy.LoadTargeter); ok {
-		if t, ok := lt.TargetNodes(); ok {
-			if t > maxNodes {
-				t = maxNodes
-			}
-			if t > minNodes {
-				minNodes = t
-				if dt != nil {
-					dt.Emit(provenance.Span{Kind: provenance.SpanResize, Nodes: minNodes})
-				}
-			}
-		}
-	}
-
-	// Under degradation, candidate sets that quarantine leaves short of
-	// adequate spot zones are padded with on-demand instances from the
-	// cheapest non-quarantined zones. An on-demand node fails with
-	// FP0 <= fpTarget (targets below FP0 are rejected), so a padded
-	// group still meets the equalized availability bound of Equation 10.
-	type odZone struct {
-		zone  string
-		price market.Money
-	}
-	var odPool []odZone
-	if stage != StageHealthy {
-		for _, z := range zones {
-			if j.health.quarantined(z, now) {
-				continue
-			}
-			od, err := market.OnDemandPrice(z, spec.Type)
-			if err != nil {
-				continue
-			}
-			odPool = append(odPool, odZone{zone: z, price: od})
-		}
-		sort.Slice(odPool, func(a, b int) bool {
-			if odPool[a].price != odPool[b].price {
-				return odPool[a].price < odPool[b].price
-			}
-			return odPool[a].zone < odPool[b].zone
-		})
-	}
-
-	j.lastDecision = j.lastDecision[:0]
-	bestCost := market.Money(0)
-	found := false
-	var bestBids []poolBid
-	var bestOD []string
-	for n := minNodes; n <= maxNodes; n++ {
-		k := spec.QuorumSize(n)
-		cand := CandidateCost{Nodes: n}
-		fpTarget, ok := j.invertFP(n, k, target)
-		if !ok || fpTarget < j.FP0 {
-			if dt != nil {
-				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: n, Outcome: "infeasible-target"})
-			}
-			j.lastDecision = append(j.lastDecision, cand)
-			continue
-		}
-		cand.FPTarget = fpTarget
-		var bids []poolBid
-		for _, st := range states {
-			bid, ok := st.minBid(fpTarget)
-			if !ok {
-				continue
-			}
-			// Constraint (9): the bid must clear the current price so
-			// the instance launches at all. st.cur is the price already
-			// fetched for the forecast — the market cannot move within a
-			// Decide, so a second SpotPrice lookup would be redundant.
-			if bid < st.cur {
-				continue
-			}
-			bids = append(bids, poolBid{zone: st.zone, bid: bid})
-		}
-		sort.Slice(bids, func(a, b int) bool {
-			if bids[a].bid != bids[b].bid {
-				return bids[a].bid < bids[b].bid
-			}
-			return bids[a].zone < bids[b].zone
-		})
-		var odPick []string
-		var odCost market.Money
-		if len(bids) < n && stage != StageHealthy {
-			taken := make(map[string]bool, len(bids))
-			for _, zb := range bids {
-				taken[zb.zone] = true
-			}
-			for _, oz := range odPool {
-				if len(bids)+len(odPick) == n {
-					break
-				}
-				if taken[oz.zone] {
-					continue
-				}
-				odPick = append(odPick, oz.zone)
-				odCost += oz.price
-			}
-		}
-		if len(bids)+len(odPick) < n {
-			if dt != nil {
-				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: n, Outcome: "short", FPTarget: fpTarget})
-			}
-			j.lastDecision = append(j.lastDecision, cand)
-			continue
-		}
-		spot := bids
-		if len(spot) > n {
-			spot = bids[:n]
-		}
-		cost := odCost
-		for _, zb := range spot {
-			cost += zb.bid
-		}
-		cand.Feasible = true
-		cand.CostUpper = cost
-		if dt != nil {
-			dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: n, Outcome: "feasible", FPTarget: fpTarget, CostMicroUSD: int64(cost)})
-		}
-		j.lastDecision = append(j.lastDecision, cand)
-		if !found || cost < bestCost {
-			found = true
-			bestCost = cost
-			bestBids = spot
-			bestOD = odPick
-		}
-	}
-	if !found {
-		return j.fallbackTraced(view, spec, dt, "no-feasible-group")
-	}
-	if stage == StageCritical {
-		bestBids, bestOD = hardenQuorum(bestBids, bestOD, spec)
-	}
-	// The heterogeneous descent models spot bids only; a mixed
-	// spot/on-demand group keeps its equalized solution.
-	if j.Refine && len(bestOD) == 0 && len(bestBids) > 0 {
-		k := spec.QuorumSize(len(bestBids))
-		var before market.Money
-		if dt != nil {
-			before = bidSum(bestBids)
-		}
-		bestBids = refineBids(bestBids, k, target, func(zone string) *refineZone {
-			st := byZone[zone]
-			if st == nil {
-				return nil
-			}
-			return &refineZone{fpOf: st.fpOf, levels: st.levels, cur: st.cur}
-		})
-		if dt != nil {
-			dt.Emit(provenance.Span{Kind: provenance.SpanRefine, AltMicroUSD: int64(before), CostMicroUSD: int64(bidSum(bestBids))})
-		}
-	}
-	if dt != nil {
-		j.emitChosenZone(dt, spec, byZone, bestBids, bestOD, target)
-	}
-	out := strategy.Decision{}
-	j.lastBidFPs = make(map[string]float64, len(bestBids))
-	for _, zb := range bestBids {
-		out.Bids = append(out.Bids, strategy.Bid{Zone: zb.zone, Price: zb.bid})
-		if st := byZone[zb.zone]; st != nil && st.fpOf != nil {
-			j.lastBidFPs[zb.zone] = st.fpOf(zb.bid)
-		}
-	}
-	sort.Slice(out.Bids, func(a, b int) bool { return out.Bids[a].Zone < out.Bids[b].Zone })
-	out.OnDemand = append(out.OnDemand, bestOD...)
-	sort.Strings(out.OnDemand)
-	return out, nil
-}
-
-// hardenQuorum converts spot members to on-demand, most expensive bid
-// first, until a full quorum of the group runs on-demand — the
-// StageCritical posture, which keeps the service up even if every spot
-// member is lost at once (a correlated reclamation storm).
-func hardenQuorum(bids []poolBid, od []string, spec strategy.ServiceSpec) ([]poolBid, []string) {
-	k := spec.QuorumSize(len(bids) + len(od))
-	if len(od) >= k {
-		return bids, od
-	}
-	byCost := append([]poolBid(nil), bids...)
-	sort.Slice(byCost, func(a, b int) bool {
-		if byCost[a].bid != byCost[b].bid {
-			return byCost[a].bid > byCost[b].bid
-		}
-		return byCost[a].zone < byCost[b].zone
-	})
-	convert := make(map[string]bool, k-len(od))
-	for i := 0; i < len(byCost) && len(od)+len(convert) < k; i++ {
-		convert[byCost[i].zone] = true
-	}
-	kept := bids[:0:0]
-	for _, zb := range bids {
-		if convert[zb.zone] {
-			od = append(od, zb.zone)
-			continue
-		}
-		kept = append(kept, zb)
-	}
-	return kept, od
-}
-
-// refineZone is the per-zone information the descent needs.
-type refineZone struct {
-	fpOf   func(bid market.Money) float64
-	levels []market.Money
-	cur    market.Money
-}
-
-// refineBids lowers bids one price level at a time — always the largest
-// available saving first — while the exact heterogeneous k-of-n
-// availability stays at or above the target. Each descent iteration
-// builds one quorum.ThresholdEvaluator over the current probability
-// vector and probes every zone's next level with its O(n) leave-one-out
-// query, so an iteration costs O(n²) where the swap-and-recompute DP
-// was O(n³).
-func refineBids(bids []poolBid, k int, target float64, zoneInfo func(zone string) *refineZone) []poolBid {
-	n := len(bids)
-	infos := make([]*refineZone, n)
-	fps := make([]float64, n)
-	for i, zb := range bids {
-		infos[i] = zoneInfo(zb.zone)
-		if infos[i] == nil {
-			return bids // cannot evaluate; keep the equalized solution
-		}
-		fps[i] = infos[i].fpOf(zb.bid)
-	}
-	// nextLower returns the largest candidate level strictly below the
-	// current bid but not below the zone's current spot price. Levels
-	// are the model's learned prices, strictly ascending, so the
-	// predecessor of the first level >= bid is the only candidate.
-	nextLower := func(i int) (market.Money, bool) {
-		levels := infos[i].levels
-		x := sort.Search(len(levels), func(j int) bool { return levels[j] >= bids[i].bid })
-		if x == 0 || levels[x-1] < infos[i].cur {
-			return 0, false
-		}
-		return levels[x-1], true
-	}
-	for iter := 0; iter < 64*n; iter++ {
-		ev := quorum.NewThresholdEvaluator(k, fps)
-		bestIdx := -1
-		var bestSave market.Money
-		var bestBid market.Money
-		var bestFP float64
-		for i := range bids {
-			lower, ok := nextLower(i)
-			if !ok {
-				continue
-			}
-			newFP := infos[i].fpOf(lower)
-			if ev.WithNode(i, newFP) < target {
-				continue
-			}
-			if save := bids[i].bid - lower; save > bestSave {
-				bestSave = save
-				bestIdx = i
-				bestBid = lower
-				bestFP = newFP
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		bids[bestIdx].bid = bestBid
-		fps[bestIdx] = bestFP
-	}
-	return bids
+	return j.decidePools(view, spec, zones, intervalMinutes)
 }
 
 // fallback runs the service on on-demand instances when no spot

@@ -1,19 +1,23 @@
-// Capacity-weighted pool bidding: the Fig. 3 algorithm generalized to
-// heterogeneous (zone × instance type) pools. A pool of capacity
-// weight w plays the role of w base nodes — Equation 11's observation
-// that a node of weight w counts as w survivors — so group sizes are
-// enumerated in base-node equivalents W, candidate pools are ranked by
-// bid per capacity unit, and feasibility is checked exactly with the
-// unit-sum quorum rule (quorum.WeightedThresholdAvailability) instead
-// of being implied by the equalized per-node target alone.
+// Capacity-weighted pool bidding: the Fig. 3 algorithm over (zone ×
+// instance type) pools. A pool of capacity weight w plays the role of w
+// base nodes — Equation 11's observation that a node of weight w counts
+// as w survivors — so group sizes are enumerated in base-node
+// equivalents W, candidate pools are ranked by bid per capacity unit,
+// and feasibility is checked exactly with the unit-sum quorum rule
+// (quorum.WeightedThresholdAvailability) instead of being implied by
+// the equalized per-node target alone.
 //
-// Decide routes here only when the market view exposes typed pools;
-// single-type views take the zone path in jupiter.go, byte-identical
-// to the pre-pool framework.
+// This is Jupiter's only planner. A single-type deployment is the case
+// where every pool is a bare zone of market.UnitsPerNode units: the
+// three candidate families below then build the same group, which is
+// evaluated once, and the unit-quorum check folds (by the weights' gcd)
+// to the k-of-n survivor DP.
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/market"
 	"repro/internal/provenance"
@@ -21,11 +25,11 @@ import (
 	"repro/internal/strategy"
 )
 
-// weightedPool couples a pool snapshot with its integer capacity units
-// (market.UnitsPerNode for a base-type pool).
-type weightedPool struct {
-	*poolSnapshot
-	units int
+// poolBid is one member of a candidate or chosen group: a pool and its
+// bid.
+type poolBid struct {
+	pool *poolSnapshot
+	bid  market.Money
 }
 
 // odPoolCand is an on-demand substitution candidate: a pool whose
@@ -40,23 +44,69 @@ type odPoolCand struct {
 // without division: price_a/units_a vs price_b/units_b cross-multiplied
 // to stay in exact integers.
 func perUnitCmp(pa market.Money, ua int, pb market.Money, ub int) int {
-	a := int64(pa) * int64(ub)
-	b := int64(pb) * int64(ua)
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+	return cmp.Compare(int64(pa)*int64(ub), int64(pb)*int64(ua))
 }
 
-// decidePools is the capacity-weighted counterpart of the zone path in
-// Decide. pools has already passed the spec's minimum-shape filter.
+// perUnitOrder ranks bids by price per capacity unit, then pool key.
+func perUnitOrder(a, b poolBid) int {
+	if c := perUnitCmp(a.bid, a.pool.units, b.bid, b.pool.units); c != 0 {
+		return c
+	}
+	return strings.Compare(a.pool.zone, b.pool.zone)
+}
+
+// bidOrder ranks bids by absolute price, then pool key.
+func bidOrder(a, b poolBid) int {
+	if c := cmp.Compare(a.bid, b.bid); c != 0 {
+		return c
+	}
+	return strings.Compare(a.pool.zone, b.pool.zone)
+}
+
+// family is one candidate family's group at the current W and, once
+// judged, its verdict.
+type family struct {
+	pick      []int          // candidate indices, in fill order
+	od        []odPoolCand   // on-demand padding (degraded stages only)
+	bids      []market.Money // per pick: the equalized bid, or the rebid
+	ok        bool
+	cost, cur market.Money
+}
+
+// poolSelection is the best fully-priced group of a family kind.
+type poolSelection struct {
+	found     bool
+	cost, cur market.Money
+	spot      []poolBid
+	od        []odPoolCand
+}
+
+// planScratch is the planner's working memory. It lives on the Jupiter
+// value and is reused across decisions, so a warm Decide allocates for
+// its snapshots and the decision it returns, not for the enumeration.
+type planScratch struct {
+	spec   strategy.ServiceSpec
+	target float64
+	fp0    float64
+	odPool []odPoolCand
+
+	cands             []poolBid // per-W minimal bids of the pools that clear (9)
+	perUnit, baseOnly []int     // candidate orderings
+	used              []bool
+	units             []int
+	fps               []float64
+	fam               [3]family
+	base, het         poolSelection
+}
+
+// decidePools runs the planner over the pools that passed the spec's
+// minimum-shape filter.
 func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpec, pools []string, intervalMinutes int64) (strategy.Decision, error) {
 	target := spec.TargetAvailability()
 	now := view.Now()
 
+	// Staged degradation (health.go): stays StageHealthy — and changes
+	// nothing below — unless faults have been observed via OnFault.
 	stage := StageHealthy
 	if j.health != nil && j.health.faults > 0 {
 		stage = j.health.stage(now)
@@ -69,49 +119,34 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		emitStage(dt, prevStage, stage)
 	}
 
-	snaps, err := j.buildPoolSnapshots(view, spec, pools, now, intervalMinutes, dt)
+	// One failure estimator per pool, shared across all group sizes.
+	states, err := j.buildPoolSnapshots(view, spec, pools, now, intervalMinutes, dt)
 	if err != nil {
 		return strategy.Decision{}, err
-	}
-	states := make([]weightedPool, 0, len(snaps))
-	totalUnits := 0
-	for _, st := range snaps {
-		u, uerr := market.PoolCapacityUnits(st.zone, spec.Type)
-		if uerr != nil {
-			continue // pool key outside the catalog; unusable
-		}
-		states = append(states, weightedPool{poolSnapshot: st, units: u})
-		totalUnits += u
 	}
 	if len(states) == 0 {
 		return j.fallbackTraced(view, spec, dt, "no-usable-pools")
 	}
-	byKey := make(map[string]*poolSnapshot, len(states))
+	totalUnits := 0
 	for _, st := range states {
-		byKey[st.zone] = st.poolSnapshot
+		totalUnits += st.units
 	}
 
 	// W enumerates target capacity in base-node equivalents, capped by
-	// what the candidate pools can supply.
+	// what the usable pools can supply.
 	maxW := j.MaxNodes
 	if maxW <= 0 || maxW > len(pools) {
 		maxW = len(pools)
 	}
-	if c := totalUnits / market.UnitsPerNode; maxW > c {
-		maxW = c
-	}
-	minW := spec.DataShards
-	if minW < 1 {
-		minW = 1
-	}
-	// A workload load target raises the floor on the weighted path too,
-	// in base-node equivalents (see the zone path in Decide).
+	maxW = min(maxW, totalUnits/market.UnitsPerNode)
+	minW := max(spec.DataShards, 1)
+	// A workload load target (strategy.LoadTargeter) raises the floor:
+	// the autoscaler's target group size is the least the decision may
+	// provision, clamped to what the market can host. Fixed-n runs
+	// attach no targeter and enumerate exactly as before.
 	if lt, ok := view.(strategy.LoadTargeter); ok {
 		if t, ok := lt.TargetNodes(); ok {
-			if t > maxW {
-				t = maxW
-			}
-			if t > minW {
+			if t = min(t, maxW); t > minW {
 				minW = t
 				if dt != nil {
 					dt.Emit(provenance.Span{Kind: provenance.SpanResize, Nodes: minW})
@@ -120,123 +155,15 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 	}
 
-	// Under degradation, groups short of adequate spot capacity are
-	// padded with on-demand instances from the cheapest-per-unit
-	// non-quarantined compatible pools (the pool generalization of the
-	// zone path's OD padding; the min-shape filter already ran).
-	var odPool []odPoolCand
+	p := &j.plan
+	p.spec, p.target, p.fp0 = spec, target, j.FP0
+	p.odPool = p.odPool[:0]
 	if stage != StageHealthy {
-		for _, z := range pools {
-			if j.health.quarantinedKey(z, now) {
-				continue
-			}
-			od, perr := market.PoolOnDemandPrice(z, spec.Type)
-			if perr != nil {
-				continue
-			}
-			u, uerr := market.PoolCapacityUnits(z, spec.Type)
-			if uerr != nil {
-				continue
-			}
-			odPool = append(odPool, odPoolCand{key: z, price: od, units: u})
-		}
-		sort.Slice(odPool, func(a, b int) bool {
-			if c := perUnitCmp(odPool[a].price, odPool[a].units, odPool[b].price, odPool[b].units); c != 0 {
-				return c < 0
-			}
-			return odPool[a].key < odPool[b].key
-		})
+		p.odPool = j.onDemandPool(p.odPool, pools, spec, now)
 	}
-
-	// evaluate prices a candidate group and gates it on the exact
-	// weighted quorum availability. On-demand members fail at FP0. It
-	// returns both the planned cost (the sum of bids — the group's
-	// worst-case spend, the figure the Fig. 3 enumeration minimizes)
-	// and the expected cost (the sum of current prices — what the group
-	// bills if the market holds still).
-	evaluate := func(spot []poolBid, spotUnits []int, od []odPoolCand) (market.Money, market.Money, bool) {
-		tot := 0
-		units := make([]int, 0, len(spot)+len(od))
-		fps := make([]float64, 0, len(spot)+len(od))
-		var cost, curCost market.Money
-		for i, pb := range spot {
-			units = append(units, spotUnits[i])
-			tot += spotUnits[i]
-			st := byKey[pb.zone]
-			fps = append(fps, st.fpOf(pb.bid))
-			cost += pb.bid
-			curCost += st.cur
-		}
-		for _, oc := range od {
-			units = append(units, oc.units)
-			tot += oc.units
-			fps = append(fps, j.FP0)
-			cost += oc.price
-			curCost += oc.price
-		}
-		t := spec.QuorumUnits(tot)
-		if t > tot {
-			return 0, 0, false // too little capacity to ever form a quorum
-		}
-		if quorum.WeightedThresholdAvailability(t, units, fps) < target {
-			return 0, 0, false
-		}
-		return cost, curCost, true
-	}
-
-	// rebid repairs a group that fails the exact check at the equalized
-	// per-node target. Equation 10's inversion assumes W independent
-	// base nodes; a group of fewer, heavier pools has fewer failure
-	// domains, so the equalized probability can be too loose for it.
-	// The repair bisects the largest uniform per-member failure
-	// probability at which THIS group's unit quorum meets the target,
-	// then re-bids every spot member at that tighter probability.
-	rebid := func(spot []poolBid, spotUnits []int, od []odPoolCand) ([]poolBid, bool) {
-		tot := 0
-		units := make([]int, 0, len(spot)+len(od))
-		for _, u := range spotUnits {
-			units = append(units, u)
-			tot += u
-		}
-		for _, oc := range od {
-			units = append(units, oc.units)
-			tot += oc.units
-		}
-		t := spec.QuorumUnits(tot)
-		if t > tot {
-			return nil, false
-		}
-		fp, ok := fitUniformFP(t, units, target)
-		if !ok || fp < j.FP0 {
-			return nil, false
-		}
-		out := make([]poolBid, len(spot))
-		for i, pb := range spot {
-			st := byKey[pb.zone]
-			bid, ok := st.minBid(fp)
-			if !ok || bid < st.cur {
-				return nil, false
-			}
-			out[i] = poolBid{zone: pb.zone, bid: bid}
-		}
-		return out, true
-	}
-
-	// poolSelection is one fully-priced candidate group.
-	type poolSelection struct {
-		found     bool
-		cost, cur market.Money
-		spot      []poolBid
-		spotUnits []int
-		od        []odPoolCand
-	}
-	// bestBase tracks the base-weight family — the selection the
-	// zone-only planner would make — and bestHet the heterogeneous
-	// families, both minimized by planned cost.
-	var bestBase, bestHet poolSelection
+	p.base.found, p.het.found = false, false
 
 	j.lastDecision = j.lastDecision[:0]
-
 	for W := minW; W <= maxW; W++ {
 		cand := CandidateCost{Nodes: W}
 		fpTarget, ok := j.invertFP(W, spec.QuorumSize(W), target)
@@ -248,170 +175,31 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			continue
 		}
 		cand.FPTarget = fpTarget
+		p.candidates(states, fpTarget)
+		need := W * market.UnitsPerNode
 
-		// Per-pool minimal bids at the equalized per-node target.
-		// Constraint (9): the bid must clear the pool's current price.
-		var cands []poolBid
-		var candUnits []int
-		for _, st := range states {
-			bid, ok := st.minBid(fpTarget)
-			if !ok || bid < st.cur {
+		// Three candidate families race per W: (0) cheapest base-weight
+		// pools only — the paper's homogeneous selection; (1) cheapest
+		// bid per capacity unit over every pool — the heterogeneous
+		// portfolio; (2) the fit-first variant of (1), which avoids
+		// paying for overshoot. Keeping (0) in the race means the
+		// planned cost never exceeds the homogeneous planner's over the
+		// same models.
+		for fi := range p.fam {
+			v := p.judgeFamily(fi, need)
+			if v == nil || !v.ok {
 				continue
 			}
-			cands = append(cands, poolBid{zone: st.zone, bid: bid})
-			candUnits = append(candUnits, st.units)
-		}
-		needUnits := W * market.UnitsPerNode
-
-		// padOD tops a short spot group up with on-demand pools (only
-		// available under degradation) and reports whether the target
-		// capacity was reached.
-		padOD := func(spot []poolBid, got int) ([]odPoolCand, bool) {
-			var odPick []odPoolCand
-			if got < needUnits && len(odPool) > 0 {
-				taken := make(map[string]bool, len(spot))
-				for _, pb := range spot {
-					taken[pb.zone] = true
-				}
-				for _, oc := range odPool {
-					if got >= needUnits {
-						break
-					}
-					if taken[oc.key] {
-						continue
-					}
-					odPick = append(odPick, oc)
-					got += oc.units
-				}
-			}
-			return odPick, got >= needUnits
-		}
-
-		// Greedy fill from an ordering of candidate indices.
-		buildSel := func(order []int) ([]poolBid, []int, []odPoolCand, bool) {
-			var spot []poolBid
-			var su []int
-			got := 0
-			for _, i := range order {
-				if got >= needUnits {
-					break
-				}
-				spot = append(spot, cands[i])
-				su = append(su, candUnits[i])
-				got += candUnits[i]
-			}
-			odPick, ok := padOD(spot, got)
-			if !ok {
-				return nil, nil, nil, false
-			}
-			return spot, su, odPick, true
-		}
-
-		// Fit-first fill: walk the ordering but only take pools that fit
-		// inside the remaining capacity gap, so a cheap-per-unit heavy
-		// pool taken early doesn't force paying for a large overshoot.
-		// When nothing fits the residual gap, it is closed with the
-		// cheapest absolute bid still unused.
-		buildFit := func(order []int) ([]poolBid, []int, []odPoolCand, bool) {
-			used := make([]bool, len(cands))
-			var spot []poolBid
-			var su []int
-			got := 0
-			for got < needUnits {
-				picked := -1
-				for _, i := range order {
-					if used[i] || candUnits[i] > needUnits-got {
-						continue
-					}
-					picked = i
-					break
-				}
-				if picked < 0 {
-					for _, i := range order {
-						if used[i] {
-							continue
-						}
-						if picked < 0 || cands[i].bid < cands[picked].bid ||
-							(cands[i].bid == cands[picked].bid && cands[i].zone < cands[picked].zone) {
-							picked = i
-						}
-					}
-					if picked < 0 {
-						break
-					}
-				}
-				used[picked] = true
-				spot = append(spot, cands[picked])
-				su = append(su, candUnits[picked])
-				got += candUnits[picked]
-			}
-			odPick, ok := padOD(spot, got)
-			if !ok {
-				return nil, nil, nil, false
-			}
-			return spot, su, odPick, true
-		}
-
-		// Three candidate families race per W: (a) cheapest bid per
-		// capacity unit over every pool — the heterogeneous portfolio;
-		// (b) cheapest base-weight pools only — the selection the
-		// homogeneous zone path would make; (c) the fit-first variant of
-		// (a), which avoids paying for overshoot. Keeping (b) in the
-		// race means the planned cost never exceeds the zone-only
-		// planner's over the same models.
-		perUnit := make([]int, len(cands))
-		for i := range cands {
-			perUnit[i] = i
-		}
-		sort.Slice(perUnit, func(a, b int) bool {
-			ia, ib := perUnit[a], perUnit[b]
-			if c := perUnitCmp(cands[ia].bid, candUnits[ia], cands[ib].bid, candUnits[ib]); c != 0 {
-				return c < 0
-			}
-			return cands[ia].zone < cands[ib].zone
-		})
-		var baseOnly []int
-		for i := range cands {
-			if candUnits[i] == market.UnitsPerNode {
-				baseOnly = append(baseOnly, i)
-			}
-		}
-		sort.Slice(baseOnly, func(a, b int) bool {
-			ia, ib := baseOnly[a], baseOnly[b]
-			if cands[ia].bid != cands[ib].bid {
-				return cands[ia].bid < cands[ib].bid
-			}
-			return cands[ia].zone < cands[ib].zone
-		})
-
-		for fi, build := range []func() ([]poolBid, []int, []odPoolCand, bool){
-			func() ([]poolBid, []int, []odPoolCand, bool) { return buildSel(baseOnly) },
-			func() ([]poolBid, []int, []odPoolCand, bool) { return buildSel(perUnit) },
-			func() ([]poolBid, []int, []odPoolCand, bool) { return buildFit(perUnit) },
-		} {
-			spot, su, odPick, ok := build()
-			if !ok {
-				continue
-			}
-			cost, curCost, feasible := evaluate(spot, su, odPick)
-			if !feasible {
-				if spot, ok = rebid(spot, su, odPick); !ok {
-					continue
-				}
-				if cost, curCost, feasible = evaluate(spot, su, odPick); !feasible {
-					continue
-				}
-			}
-			if !cand.Feasible || cost < cand.CostUpper {
+			if !cand.Feasible || v.cost < cand.CostUpper {
 				cand.Feasible = true
-				cand.CostUpper = cost
+				cand.CostUpper = v.cost
 			}
-			best := &bestHet
+			best := &p.het
 			if fi == 0 {
-				best = &bestBase
+				best = &p.base
 			}
-			if !best.found || cost < best.cost {
-				*best = poolSelection{found: true, cost: cost, cur: curCost, spot: spot, spotUnits: su, od: odPick}
+			if !best.found || v.cost < best.cost {
+				p.take(best, v)
 			}
 		}
 		if dt != nil {
@@ -431,81 +219,294 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// sum) AND its expected spend (current-price sum) are no higher.
 	// Bids cap charges but the market bills at its own price, so a
 	// lower bid sum alone can still realize a costlier interval; the
-	// dominance test keeps heterogeneous runs at or below the zone-only
-	// planner's cost on both axes.
-	hetWins := bestHet.found && (!bestBase.found ||
-		(bestHet.cost <= bestBase.cost && bestHet.cur <= bestBase.cur))
-	sel := bestBase
+	// dominance test keeps heterogeneous runs at or below the
+	// homogeneous selection's cost on both axes. A single-type market
+	// builds the same group in both families, a tie the het side wins.
+	hetWins := p.het.found && (!p.base.found ||
+		(p.het.cost <= p.base.cost && p.het.cur <= p.base.cur))
+	sel := &p.base
 	if hetWins {
-		sel = bestHet
+		sel = &p.het
 	}
-	if dt != nil && bestBase.found && bestHet.found {
+	if dt != nil && p.base.found && p.het.found {
 		winner := "base"
 		if hetWins {
 			winner = "het"
 		}
 		dt.Emit(provenance.Span{
 			Kind: provenance.SpanDominance, Outcome: winner,
-			CostMicroUSD: int64(bestBase.cost), CurMicroUSD: int64(bestBase.cur),
-			AltMicroUSD: int64(bestHet.cost), AltCurMicroUSD: int64(bestHet.cur),
+			CostMicroUSD: int64(p.base.cost), CurMicroUSD: int64(p.base.cur),
+			AltMicroUSD: int64(p.het.cost), AltCurMicroUSD: int64(p.het.cur),
 		})
 	}
 	if !sel.found {
 		return j.fallbackTraced(view, spec, dt, "no-feasible-group")
 	}
-	bestSpot, bestSpotUnits, bestOD := sel.spot, sel.spotUnits, sel.od
+	spot, od := sel.spot, sel.od
 	if stage == StageCritical {
-		bestSpot, bestSpotUnits, bestOD = hardenQuorumPools(bestSpot, bestSpotUnits, bestOD, spec)
+		spot, od = hardenQuorumPools(spot, od, spec)
 	}
-	// The weighted descent models spot bids only; a mixed group keeps
-	// its equalized solution, as in the zone path.
-	if j.Refine && len(bestOD) == 0 && len(bestSpot) > 0 {
+	// The heterogeneous-bid descent models spot bids only; a mixed
+	// spot/on-demand group keeps its equalized solution.
+	if j.Refine && len(od) == 0 && len(spot) > 0 {
 		tot := 0
-		for _, u := range bestSpotUnits {
-			tot += u
+		for _, pb := range spot {
+			tot += pb.pool.units
 		}
 		var before market.Money
 		if dt != nil {
-			before = bidSum(bestSpot)
+			before = bidSum(spot)
 		}
-		bestSpot = refineBidsWeighted(bestSpot, bestSpotUnits, spec.QuorumUnits(tot), target, func(key string) *refineZone {
-			st := byKey[key]
-			if st == nil {
-				return nil
-			}
-			return &refineZone{fpOf: st.fpOf, levels: st.levels, cur: st.cur}
-		})
+		spot = refineBidsWeighted(spot, spec.QuorumUnits(tot), target)
 		if dt != nil {
-			dt.Emit(provenance.Span{Kind: provenance.SpanRefine, AltMicroUSD: int64(before), CostMicroUSD: int64(bidSum(bestSpot))})
+			dt.Emit(provenance.Span{Kind: provenance.SpanRefine, AltMicroUSD: int64(before), CostMicroUSD: int64(bidSum(spot))})
 		}
 	}
 	if dt != nil {
-		j.emitChosenPools(dt, spec, byKey, bestSpot, bestSpotUnits, bestOD, target)
+		j.emitChosenPools(dt, spec, spot, od, target)
 	}
-	out := strategy.Decision{}
-	j.lastBidFPs = make(map[string]float64, len(bestSpot))
-	for _, pb := range bestSpot {
-		out.Bids = append(out.Bids, strategy.Bid{Zone: pb.zone, Price: pb.bid})
-		if st := byKey[pb.zone]; st != nil && st.fpOf != nil {
-			j.lastBidFPs[pb.zone] = st.fpOf(pb.bid)
-		}
+	out := strategy.Decision{Bids: make([]strategy.Bid, 0, len(spot))}
+	j.lastBidFPs = make(map[string]float64, len(spot))
+	for _, pb := range spot {
+		out.Bids = append(out.Bids, strategy.Bid{Zone: pb.pool.zone, Price: pb.bid})
+		j.lastBidFPs[pb.pool.zone] = pb.pool.fpOf(pb.bid)
 	}
-	sort.Slice(out.Bids, func(a, b int) bool { return out.Bids[a].Zone < out.Bids[b].Zone })
-	for _, oc := range bestOD {
+	slices.SortFunc(out.Bids, func(a, b strategy.Bid) int { return strings.Compare(a.Zone, b.Zone) })
+	for _, oc := range od {
 		out.OnDemand = append(out.OnDemand, oc.key)
 	}
-	sort.Strings(out.OnDemand)
+	slices.Sort(out.OnDemand)
 	return out, nil
 }
 
-// hardenQuorumPools is the StageCritical posture over pools: convert
-// spot members to on-demand, most expensive per capacity unit first,
-// until a full unit quorum of the group runs on-demand — the weighted
-// counterpart of hardenQuorum.
-func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec strategy.ServiceSpec) ([]poolBid, []int, []odPoolCand) {
+// onDemandPool appends to buf the on-demand padding candidates of a
+// degraded decision — every non-quarantined compatible pool (the
+// min-shape filter already ran) — cheapest per capacity unit first.
+// An on-demand node fails with FP0 <= the equalized per-node target
+// (targets below FP0 are rejected), so a padded group still meets the
+// availability bound of Equation 10.
+func (j *Jupiter) onDemandPool(buf []odPoolCand, pools []string, spec strategy.ServiceSpec, now int64) []odPoolCand {
+	for _, z := range pools {
+		if j.health.quarantinedKey(z, now) {
+			continue
+		}
+		od, err := market.PoolOnDemandPrice(z, spec.Type)
+		if err != nil {
+			continue
+		}
+		u, err := market.PoolCapacityUnits(z, spec.Type)
+		if err != nil {
+			continue
+		}
+		buf = append(buf, odPoolCand{key: z, price: od, units: u})
+	}
+	slices.SortFunc(buf, func(a, b odPoolCand) int {
+		if c := perUnitCmp(a.price, a.units, b.price, b.units); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	return buf
+}
+
+// candidates collects each pool's minimal bid at the equalized
+// per-node target — constraint (9): the bid must clear the pool's
+// current price — and the two orderings the families fill from.
+func (p *planScratch) candidates(states []*poolSnapshot, fpTarget float64) {
+	p.cands = p.cands[:0]
+	for _, st := range states {
+		bid, ok := st.minBid(fpTarget)
+		if !ok || bid < st.cur {
+			continue
+		}
+		p.cands = append(p.cands, poolBid{pool: st, bid: bid})
+	}
+	p.perUnit, p.baseOnly = p.perUnit[:0], p.baseOnly[:0]
+	for i, c := range p.cands {
+		p.perUnit = append(p.perUnit, i)
+		if c.pool.units == market.UnitsPerNode {
+			p.baseOnly = append(p.baseOnly, i)
+		}
+	}
+	slices.SortFunc(p.perUnit, func(a, b int) int { return perUnitOrder(p.cands[a], p.cands[b]) })
+	slices.SortFunc(p.baseOnly, func(a, b int) int { return bidOrder(p.cands[a], p.cands[b]) })
+}
+
+// judgeFamily builds family fi's group for need capacity units and
+// returns the family holding its verdict, or nil when the group falls
+// short of need. A group an earlier family of this W already built is
+// not judged again: its verdict, rebid included, is that family's.
+func (p *planScratch) judgeFamily(fi, need int) *family {
+	f := &p.fam[fi]
+	order := p.perUnit
+	if fi == 0 {
+		order = p.baseOnly
+	}
+	if !p.fill(f, order, need, fi == 2) {
+		return nil
+	}
+	for e := range fi {
+		if slices.Equal(p.fam[e].pick, f.pick) {
+			return &p.fam[e]
+		}
+	}
+	f.bids = f.bids[:0]
+	for _, i := range f.pick {
+		f.bids = append(f.bids, p.cands[i].bid)
+	}
+	if f.ok = p.evaluate(f); !f.ok && p.rebid(f) {
+		f.ok = p.evaluate(f)
+	}
+	return f
+}
+
+// fill builds f's group from a candidate ordering: greedily in order,
+// or fit-first — taking only pools that fit inside the remaining
+// capacity gap, so a cheap-per-unit heavy pool taken early doesn't
+// force paying for a large overshoot, and closing a gap nothing fits
+// with the cheapest absolute bid still unused. A group short of need is
+// topped up with on-demand pools (degraded stages only). fill reports
+// whether the group reached need.
+func (p *planScratch) fill(f *family, order []int, need int, fitFirst bool) bool {
+	f.pick = f.pick[:0]
+	got := 0
+	if !fitFirst {
+		for _, i := range order {
+			if got >= need {
+				break
+			}
+			f.pick = append(f.pick, i)
+			got += p.cands[i].pool.units
+		}
+	} else {
+		p.used = append(p.used[:0], make([]bool, len(p.cands))...)
+		for got < need {
+			picked := -1
+			for _, i := range order {
+				if !p.used[i] && p.cands[i].pool.units <= need-got {
+					picked = i
+					break
+				}
+			}
+			if picked < 0 {
+				for _, i := range order {
+					if !p.used[i] && (picked < 0 || bidOrder(p.cands[i], p.cands[picked]) < 0) {
+						picked = i
+					}
+				}
+				if picked < 0 {
+					break
+				}
+			}
+			p.used[picked] = true
+			f.pick = append(f.pick, picked)
+			got += p.cands[picked].pool.units
+		}
+	}
+	f.od = f.od[:0]
+	for _, oc := range p.odPool {
+		if got >= need {
+			break
+		}
+		if !slices.ContainsFunc(f.pick, func(i int) bool { return p.cands[i].pool.zone == oc.key }) {
+			f.od = append(f.od, oc)
+			got += oc.units
+		}
+	}
+	return got >= need
+}
+
+// quorumOf loads f's member capacity units — spot picks, then
+// on-demand padding — into p.units and returns the group's unit
+// threshold, with false when the group can never form a quorum.
+func (p *planScratch) quorumOf(f *family) (int, bool) {
+	p.units = p.units[:0]
+	tot := 0
+	for _, i := range f.pick {
+		p.units = append(p.units, p.cands[i].pool.units)
+		tot += p.cands[i].pool.units
+	}
+	for _, oc := range f.od {
+		p.units = append(p.units, oc.units)
+		tot += oc.units
+	}
+	t := p.spec.QuorumUnits(tot)
+	return t, t <= tot
+}
+
+// evaluate prices f's group at f.bids and gates it on the exact
+// weighted quorum availability; on-demand members fail at FP0. It
+// records both the planned cost (the sum of bids — the group's
+// worst-case spend, the figure the Fig. 3 enumeration minimizes) and
+// the expected cost (the sum of current prices — what the group bills
+// if the market holds still).
+func (p *planScratch) evaluate(f *family) bool {
+	t, ok := p.quorumOf(f)
+	if !ok {
+		return false
+	}
+	p.fps = p.fps[:0]
+	f.cost, f.cur = 0, 0
+	for k, i := range f.pick {
+		st := p.cands[i].pool
+		p.fps = append(p.fps, st.fpOf(f.bids[k]))
+		f.cost += f.bids[k]
+		f.cur += st.cur
+	}
+	for _, oc := range f.od {
+		p.fps = append(p.fps, p.fp0)
+		f.cost += oc.price
+		f.cur += oc.price
+	}
+	return quorum.WeightedThresholdAvailability(t, p.units, p.fps) >= p.target
+}
+
+// rebid repairs a group that fails the exact check at the equalized
+// per-node target. Equation 10's inversion assumes W independent base
+// nodes; a group of fewer, heavier pools has fewer failure domains, so
+// the equalized probability can be too loose for it. The repair bisects
+// the largest uniform per-member failure probability at which THIS
+// group's unit quorum meets the target, then re-bids every spot member
+// at that tighter probability.
+func (p *planScratch) rebid(f *family) bool {
+	t, ok := p.quorumOf(f)
+	if !ok {
+		return false
+	}
+	fp, ok := fitUniformFP(t, p.units, p.target)
+	if !ok || fp < p.fp0 {
+		return false
+	}
+	for k, i := range f.pick {
+		st := p.cands[i].pool
+		bid, ok := st.minBid(fp)
+		if !ok || bid < st.cur {
+			return false
+		}
+		f.bids[k] = bid
+	}
+	return true
+}
+
+// take copies family v's group into the selection.
+func (p *planScratch) take(best *poolSelection, v *family) {
+	best.found, best.cost, best.cur = true, v.cost, v.cur
+	best.spot = best.spot[:0]
+	for k, i := range v.pick {
+		best.spot = append(best.spot, poolBid{pool: p.cands[i].pool, bid: v.bids[k]})
+	}
+	best.od = append(best.od[:0], v.od...)
+}
+
+// hardenQuorumPools is the StageCritical posture: convert spot members
+// to on-demand, most expensive per capacity unit first, until a full
+// unit quorum of the group runs on-demand, so the service stays up even
+// if every spot member is lost at once (a correlated reclamation
+// storm).
+func hardenQuorumPools(spot []poolBid, od []odPoolCand, spec strategy.ServiceSpec) ([]poolBid, []odPoolCand) {
 	tot, odUnits := 0, 0
-	for _, u := range spotUnits {
-		tot += u
+	for _, pb := range spot {
+		tot += pb.pool.units
 	}
 	for _, oc := range od {
 		tot += oc.units
@@ -513,42 +514,35 @@ func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec st
 	}
 	tUnits := spec.QuorumUnits(tot)
 	if odUnits >= tUnits {
-		return spot, spotUnits, od
+		return spot, od
 	}
-	idx := make([]int, len(spot))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if c := perUnitCmp(spot[ia].bid, spotUnits[ia], spot[ib].bid, spotUnits[ib]); c != 0 {
-			return c > 0 // most expensive per unit first
+	byCost := slices.Clone(spot)
+	slices.SortFunc(byCost, func(a, b poolBid) int { // most expensive per unit first
+		if c := perUnitCmp(b.bid, b.pool.units, a.bid, a.pool.units); c != 0 {
+			return c
 		}
-		return spot[ia].zone < spot[ib].zone
+		return strings.Compare(a.pool.zone, b.pool.zone)
 	})
-	convert := make(map[int]bool, len(idx))
-	for _, i := range idx {
+	convert := make(map[*poolSnapshot]bool, len(byCost))
+	for _, pb := range byCost {
 		if odUnits >= tUnits {
 			break
 		}
-		price, err := market.PoolOnDemandPrice(spot[i].zone, spec.Type)
+		price, err := market.PoolOnDemandPrice(pb.pool.zone, spec.Type)
 		if err != nil {
 			continue
 		}
-		od = append(od, odPoolCand{key: spot[i].zone, price: price, units: spotUnits[i]})
-		odUnits += spotUnits[i]
-		convert[i] = true
+		od = append(od, odPoolCand{key: pb.pool.zone, price: price, units: pb.pool.units})
+		odUnits += pb.pool.units
+		convert[pb.pool] = true
 	}
-	keptSpot := spot[:0:0]
-	keptUnits := spotUnits[:0:0]
-	for i := range spot {
-		if convert[i] {
-			continue
+	kept := make([]poolBid, 0, len(spot))
+	for _, pb := range spot {
+		if !convert[pb.pool] {
+			kept = append(kept, pb)
 		}
-		keptSpot = append(keptSpot, spot[i])
-		keptUnits = append(keptUnits, spotUnits[i])
 	}
-	return keptSpot, keptUnits, od
+	return kept, od
 }
 
 // fitUniformFP bisects the largest uniform per-member failure
@@ -580,26 +574,29 @@ func fitUniformFP(t int, units []int, target float64) (float64, bool) {
 	return lo, true
 }
 
-// refineBidsWeighted is refineBids over capacity units: bids descend
-// one price level at a time, largest saving first, while the exact
-// weighted quorum availability (unit threshold t) stays at or above
-// the target. Each iteration builds one WeightedThresholdEvaluator and
-// probes every pool's next level with its leave-one-out query.
-func refineBidsWeighted(bids []poolBid, units []int, t int, target float64, poolInfo func(key string) *refineZone) []poolBid {
+// refineBidsWeighted is the heterogeneous-bid descent after the Fig. 3
+// selection: bids descend one price level at a time, largest saving
+// first, while the exact weighted quorum availability (unit threshold
+// t) stays at or above the target. Each iteration builds one
+// quorum.WeightedThresholdEvaluator over the current probability vector
+// and probes every pool's next level with its O(total units)
+// leave-one-out query.
+func refineBidsWeighted(bids []poolBid, t int, target float64) []poolBid {
 	n := len(bids)
-	infos := make([]*refineZone, n)
+	units := make([]int, n)
 	fps := make([]float64, n)
 	for i, pb := range bids {
-		infos[i] = poolInfo(pb.zone)
-		if infos[i] == nil {
-			return bids // cannot evaluate; keep the equalized solution
-		}
-		fps[i] = infos[i].fpOf(pb.bid)
+		units[i] = pb.pool.units
+		fps[i] = pb.pool.fpOf(pb.bid)
 	}
+	// nextLower returns the largest candidate level strictly below the
+	// current bid but not below the pool's current spot price. Levels
+	// are the model's learned prices, strictly ascending, so the
+	// predecessor of the first level >= bid is the only candidate.
 	nextLower := func(i int) (market.Money, bool) {
-		levels := infos[i].levels
-		x := sort.Search(len(levels), func(j int) bool { return levels[j] >= bids[i].bid })
-		if x == 0 || levels[x-1] < infos[i].cur {
+		levels := bids[i].pool.levels
+		x, _ := slices.BinarySearch(levels, bids[i].bid)
+		if x == 0 || levels[x-1] < bids[i].pool.cur {
 			return 0, false
 		}
 		return levels[x-1], true
@@ -615,7 +612,7 @@ func refineBidsWeighted(bids []poolBid, units []int, t int, target float64, pool
 			if !ok {
 				continue
 			}
-			newFP := infos[i].fpOf(lower)
+			newFP := bids[i].pool.fpOf(lower)
 			if ev.WithNode(i, newFP) < target {
 				continue
 			}

@@ -83,10 +83,10 @@ func TestJupiterDecidePoolsFeasible(t *testing.T) {
 	}
 }
 
-// TestJupiterPoolPlanningCostNotWorse pins the family-(b) guarantee:
-// over the same zones and models, the heterogeneous planner never plans
-// a costlier group than the zone-only planner, because the zone-only
-// selection itself stays in the candidate race.
+// TestJupiterPoolPlanningCostNotWorse pins the base-only family's
+// guarantee: over the same zones and models, the planner never plans a
+// costlier group on the typed-pool market than on the zone-only one,
+// because the zone-only selection itself stays in the candidate race.
 func TestJupiterPoolPlanningCostNotWorse(t *testing.T) {
 	const seed, weeks = 42, 13
 	spec := lockSpec()
@@ -177,9 +177,10 @@ func TestJupiterPoolsMinShapeFilter(t *testing.T) {
 	}
 }
 
-// TestDecideSingleTypeAllocBudget pins the zone path's allocation
-// budget: adding the pool dispatch must not regress the warmed
-// fast-path Decide beyond 300 allocations.
+// TestDecideSingleTypeAllocBudget pins the allocation budget of a
+// warmed single-type Decide through the pool planner — 17 bare-zone
+// pools, three candidate families that build one group per size — at
+// 300 allocations, the budget the replaced zone planner was held to.
 func TestDecideSingleTypeAllocBudget(t *testing.T) {
 	view := genView(t, 42, 13)
 	j := New()

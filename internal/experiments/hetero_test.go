@@ -16,8 +16,9 @@ func heteroTypes() []market.InstanceType {
 
 // TestHeteroSweepNotWorseThanZoneOnly is the pool framework's
 // acceptance gate: over the 4-type × 17-zone chaos-free market, the
-// capacity-weighted planner must match or beat the zone-only planner —
-// availability no lower, cost no higher — at every swept interval.
+// capacity-weighted planner must match or beat its own run over the
+// zone-only market — availability no lower, cost no higher — at every
+// swept interval.
 // The guarantee comes from construction (the zone-only selection stays
 // in the candidate race, and a heterogeneous portfolio only displaces
 // it when it dominates on both planned and expected cost), and this

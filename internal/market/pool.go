@@ -150,12 +150,6 @@ func PoolZone(key string) string {
 	return key
 }
 
-// IsTypedPoolKey reports whether the key names a non-base typed pool
-// (contains a '/'). Allocation-free.
-func IsTypedPoolKey(key string) bool {
-	return strings.IndexByte(key, '/') >= 0
-}
-
 // ValidatePool checks that a pool key names a cataloged zone and
 // instance type under the given base type.
 func ValidatePool(key string, base InstanceType) error {

@@ -30,9 +30,6 @@ func TestPoolKeyRoundTrip(t *testing.T) {
 		if got := PoolZone(key); got != c.zone {
 			t.Errorf("PoolZone(%q) = %q, want %q", key, got, c.zone)
 		}
-		if got := IsTypedPoolKey(key); got != (c.it != c.base) {
-			t.Errorf("IsTypedPoolKey(%q) = %v", key, got)
-		}
 	}
 }
 

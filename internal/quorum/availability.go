@@ -81,40 +81,6 @@ func AvailabilityEqual(n, k int, p float64) float64 {
 	return total
 }
 
-// ThresholdAvailability evaluates a k-of-n threshold system under
-// heterogeneous failure probabilities in O(n²) via the Poisson-binomial
-// survivor-count DP — exact like Availability, but fast enough for
-// optimization loops over large universes.
-func ThresholdAvailability(k int, p []float64) float64 {
-	n := len(p)
-	if k < 0 || k > n {
-		panic("quorum: k outside [0, n]")
-	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
-	// dist[j] = P(exactly j of the first i nodes alive).
-	dist := make([]float64, n+1)
-	dist[0] = 1
-	for i, pi := range p {
-		q := 1 - pi
-		for j := i + 1; j >= 1; j-- {
-			dist[j] = dist[j]*pi + dist[j-1]*q
-		}
-		dist[0] *= pi
-	}
-	total := 0.0
-	for j := k; j <= n; j++ {
-		total += dist[j]
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total
-}
-
 // InvertEqualFP returns the largest common node failure probability p
 // such that a k-of-n threshold system still achieves the target
 // availability. This is the node_failure_pr step of the paper's online

@@ -13,11 +13,14 @@ import (
 // survivors carries over verbatim — the Poisson-binomial survivor-count
 // DP simply walks unit sums instead of node counts.
 //
-// The weighted recurrences below intentionally perform the exact
-// floating-point operation sequence of their unweighted counterparts
-// (ThresholdAvailability, ThresholdEvaluator) whenever every unit is 1,
-// so an all-equal-weight fleet evaluates bit-identically; the property
-// tests pin this.
+// Only unit sums that are multiples of g = gcd(units) are reachable, so
+// both the DP and the evaluator fold units/g and threshold ceil(t/g).
+// This is bit-identical to the undivided recurrence: every slot that is
+// not a multiple of g stays +0 there, and adding +0 is exact. An
+// equal-weight fleet therefore costs the O(n²) k-of-n DP, and with every
+// unit 1 the recurrences perform the exact floating-point operation
+// sequence of the plain k-of-n Poisson-binomial DP; the property tests
+// pin both.
 
 // RSPaxosQuorumUnits is RSPaxosQuorumSize over capacity units: the
 // minimal live unit sum for an RS-Paxos group with totalUnits units of
@@ -34,39 +37,26 @@ func RSPaxosQuorumUnits(totalUnits, shardUnits int) int {
 // sum of live nodes reaches t, where node i fails independently with
 // probability p[i] and carries units[i] capacity units. t <= 0 is
 // trivially available; t beyond the total unit sum is unreachable.
-// Validation of p matches ThresholdAvailability; units must be
-// positive. O(n · total units).
+// Every p[i] must lie in [0, 1] and every unit weight be positive.
+// O(n · total units / g²) for g the gcd of the weights.
 func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
-	n := len(p)
-	if len(units) != n {
-		panic(fmt.Sprintf("quorum: %d unit weights for %d nodes", len(units), n))
-	}
-	total := 0
-	for i, u := range units {
-		if u < 1 {
-			panic(fmt.Sprintf("quorum: units[%d] = %d not positive", i, u))
-		}
-		total += u
-	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	total, g := checkWeighted(units, p)
 	if t <= 0 {
 		return 1
 	}
 	if t > total {
 		return 0
 	}
+	total /= g
+	t = (t + g - 1) / g
 	// Survivor distribution over unit sums, folding one node at a time —
-	// the ThresholdAvailability recurrence with a stride of units[i].
+	// the k-of-n recurrence with a stride of units[i]/g.
 	dist := make([]float64, total+1)
 	dist[0] = 1
 	cum := 0
 	for i, pi := range p {
 		q := 1 - pi
-		u := units[i]
+		u := units[i] / g
 		cum += u
 		for b := cum; b >= u; b-- {
 			dist[b] = dist[b]*pi + dist[b-u]*q
@@ -85,10 +75,42 @@ func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
 	return sum
 }
 
-// WeightedThresholdEvaluator is ThresholdEvaluator over capacity
-// units: it answers "what is the availability of the unit-threshold-t
-// system if node i's failure probability were pi?" in O(total units)
-// per query. Build cost is O(n · total units).
+// checkWeighted validates a weighted quorum's inputs — one positive
+// unit weight per node, every p[i] in [0, 1] — and returns the total
+// unit sum and the gcd of the weights.
+func checkWeighted(units []int, p []float64) (total, g int) {
+	if len(units) != len(p) {
+		panic(fmt.Sprintf("quorum: %d unit weights for %d nodes", len(units), len(p)))
+	}
+	for i, u := range units {
+		if u < 1 {
+			panic(fmt.Sprintf("quorum: units[%d] = %d not positive", i, u))
+		}
+		total += u
+		for u != 0 {
+			g, u = u, g%u
+		}
+	}
+	for i, pi := range p {
+		if pi < 0 || pi > 1 || math.IsNaN(pi) {
+			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
+		}
+	}
+	return total, max(g, 1)
+}
+
+// WeightedThresholdEvaluator answers "what is the availability of the
+// unit-threshold-t system if node i's failure probability were pi?" in
+// O(total units) per query, against a fixed baseline probability
+// vector. Build cost is O(n · total units). The bid descent probes
+// every node's next-lower price level on every iteration; the
+// evaluator pays one build for prefix survivor distributions and
+// suffix tail tables, after which a leave-one-out probe combines the
+// two halves around the probed node:
+//
+//	avail = (1-pi)·P(S₋ᵢ ≥ t-units[i]) + pi·P(S₋ᵢ ≥ t)
+//
+// where S₋ᵢ is the live unit sum of all other nodes.
 type WeightedThresholdEvaluator struct {
 	t, n  int
 	units []int
@@ -110,33 +132,23 @@ type WeightedThresholdEvaluator struct {
 // t in [0, total units].
 func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThresholdEvaluator {
 	n := len(p)
-	if len(units) != n {
-		panic(fmt.Sprintf("quorum: %d unit weights for %d nodes", len(units), n))
-	}
-	totalU := 0
-	for i, u := range units {
-		if u < 1 {
-			panic(fmt.Sprintf("quorum: units[%d] = %d not positive", i, u))
-		}
-		totalU += u
-	}
+	totalU, g := checkWeighted(units, p)
 	if t < 0 || t > totalU {
 		panic(fmt.Sprintf("quorum: unit threshold %d outside [0, %d]", t, totalU))
 	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	totalU /= g
 	ev := &WeightedThresholdEvaluator{
-		t: t, n: n,
-		units:  append([]int(nil), units...),
+		t: (t + g - 1) / g, n: n,
+		units:  make([]int, n),
 		preOff: make([]int, n+1),
 		preU:   make([]int, n+1),
 		stride: totalU + 2,
 	}
-	preSize := 1
 	for i, u := range units {
+		ev.units[i] = u / g
+	}
+	preSize := 1
+	for i, u := range ev.units {
 		ev.preOff[i+1] = ev.preOff[i] + ev.preU[i] + 1
 		ev.preU[i+1] = ev.preU[i] + u
 		preSize += ev.preU[i+1] + 1
@@ -153,7 +165,7 @@ func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThr
 	cum := 0
 	for i, pi := range p {
 		q := 1 - pi
-		u := units[i]
+		u := ev.units[i]
 		cum += u
 		for b := cum; b >= u; b-- {
 			dist[b] = dist[b]*pi + dist[b-u]*q
@@ -166,7 +178,7 @@ func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThr
 	}
 	// The full-vector availability from the completed distribution —
 	// bit-identical to WeightedThresholdAvailability by construction.
-	for b := t; b <= totalU; b++ {
+	for b := ev.t; b <= totalU; b++ {
 		ev.total += dist[b]
 	}
 	if ev.total > 1 {
@@ -182,7 +194,7 @@ func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThr
 	for i := n - 1; i >= 0; i-- {
 		pi := p[i]
 		q := 1 - pi
-		u := units[i]
+		u := ev.units[i]
 		m += u
 		for b := m; b >= u; b-- {
 			dist[b] = dist[b]*pi + dist[b-u]*q

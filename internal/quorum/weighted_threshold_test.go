@@ -155,3 +155,78 @@ func TestWeightedThresholdEdgeCases(t *testing.T) {
 		t.Fatalf("single node availability %v, want %v", got, want)
 	}
 }
+
+// TestWeightedGCDFoldBitIdentical pins the gcd fold: scaling every unit
+// weight by g and the threshold to anywhere in (g·(t-1), g·t] reaches
+// exactly the unit sums of the unscaled system, so availability,
+// baseline and every leave-one-out probe are == to the unscaled ones.
+func TestWeightedGCDFoldBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		p := randProbs(rng, n)
+		units := make([]int, n)
+		scaled := make([]int, n)
+		g := 1 + rng.Intn(20)
+		total := 0
+		for i := range units {
+			units[i] = 1 + rng.Intn(5)
+			scaled[i] = g * units[i]
+			total += units[i]
+		}
+		thr := rng.Intn(total + 1)
+		sthr := g * thr
+		if thr > 0 {
+			sthr -= rng.Intn(g)
+		}
+		want := WeightedThresholdAvailability(thr, units, p)
+		if got := WeightedThresholdAvailability(sthr, scaled, p); got != want {
+			t.Fatalf("trial %d: scaled availability %v != unscaled %v (g=%d t=%d)", trial, got, want, g, thr)
+		}
+		if got := unfoldedAvailability(sthr, scaled, p); got != want {
+			t.Fatalf("trial %d: unfolded DP %v != folded %v (g=%d t=%d)", trial, got, want, g, thr)
+		}
+		sev := NewWeightedThresholdEvaluator(sthr, scaled, p)
+		ev := NewWeightedThresholdEvaluator(thr, units, p)
+		if got, want := sev.Availability(), ev.Availability(); got != want {
+			t.Fatalf("trial %d: scaled evaluator baseline %v != unscaled %v", trial, got, want)
+		}
+		for i := 0; i < n; i++ {
+			pi := rng.Float64()
+			if got, want := sev.WithNode(i, pi), ev.WithNode(i, pi); got != want {
+				t.Fatalf("trial %d: scaled WithNode(%d, %v) = %v, unscaled %v", trial, i, pi, got, want)
+			}
+		}
+	}
+}
+
+// unfoldedAvailability is WeightedThresholdAvailability without the gcd
+// fold: the survivor DP over every unit sum 0..total.
+func unfoldedAvailability(t int, units []int, p []float64) float64 {
+	total := 0
+	for _, u := range units {
+		total += u
+	}
+	if t <= 0 {
+		return 1
+	}
+	dist := make([]float64, total+1)
+	dist[0] = 1
+	cum := 0
+	for i, pi := range p {
+		q := 1 - pi
+		u := units[i]
+		cum += u
+		for b := cum; b >= u; b-- {
+			dist[b] = dist[b]*pi + dist[b-u]*q
+		}
+		for b := u - 1; b >= 0; b-- {
+			dist[b] *= pi
+		}
+	}
+	sum := 0.0
+	for b := t; b <= total; b++ {
+		sum += dist[b]
+	}
+	return min(sum, 1)
+}
