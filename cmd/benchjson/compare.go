@@ -149,6 +149,9 @@ func runCompare(args []string, out io.Writer) (bool, error) {
 			c.Name, c.Metric, c.Old, c.New, 100*c.Delta, flag)
 	}
 	tw.Flush()
+	for _, d := range envDiff(oldRep.Env, newRep.Env) {
+		fmt.Fprintf(out, "warning: environments differ: %s\n", d)
+	}
 	for _, m := range missing {
 		fmt.Fprintf(out, "note: %s\n", m)
 	}
@@ -156,6 +159,33 @@ func runCompare(args []string, out io.Writer) (bool, error) {
 		fmt.Fprintf(out, "regressions above %.0f%% found\n", 100**threshold)
 	}
 	return regressed, nil
+}
+
+// envDiff names each field in which two reports' environments differ;
+// a report without an env block (rendered before benchjson recorded
+// one) differs from any that has one.
+func envDiff(a, b *env) []string {
+	switch {
+	case a == nil && b == nil:
+		return nil
+	case a == nil:
+		return []string{"old report records no environment"}
+	case b == nil:
+		return []string{"new report records no environment"}
+	}
+	var out []string
+	field := func(name, x, y string) {
+		if x != y {
+			out = append(out, fmt.Sprintf("%s %q -> %q", name, x, y))
+		}
+	}
+	field("goos", a.GOOS, b.GOOS)
+	field("goarch", a.GOARCH, b.GOARCH)
+	field("cpu", a.CPU, b.CPU)
+	field("pkgs", strings.Join(a.Pkgs, " "), strings.Join(b.Pkgs, " "))
+	field("go_version", a.GoVersion, b.GoVersion)
+	field("gomaxprocs", fmt.Sprint(a.GOMAXPROCS), fmt.Sprint(b.GOMAXPROCS))
+	return out
 }
 
 func readReport(path string) (report, error) {

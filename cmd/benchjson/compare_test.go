@@ -169,3 +169,49 @@ func TestRunCompareThroughputDirection(t *testing.T) {
 		t.Fatalf("25%% threshold: regressed=%v err=%v\n%s", regressed, err, buf.String())
 	}
 }
+
+// TestRunCompareWarnsOnEnvMismatch pins that reports from different
+// environments still compare — the verdict is the metrics' alone — with
+// one warning line per differing field, and none when they match.
+func TestRunCompareWarnsOnEnvMismatch(t *testing.T) {
+	here := &env{GOOS: "linux", GOARCH: "amd64", CPU: "Intel Xeon", GoVersion: "go1.24.0", GOMAXPROCS: []int{1, 4, 8}}
+	there := *here
+	there.CPU, there.GOMAXPROCS = "AMD EPYC 7B13", []int{1, 2}
+	benches := []benchResult{bench("BenchmarkDecide-8", 1000, 100)}
+	a := writeReport(t, "a.json", report{Env: here, Benchmarks: benches})
+	b := writeReport(t, "b.json", report{Env: &there, Benchmarks: benches})
+	bare := writeReport(t, "bare.json", report{Benchmarks: benches})
+
+	var buf bytes.Buffer
+	if regressed, err := runCompare([]string{a, a}, &buf); err != nil || regressed {
+		t.Fatalf("same env: regressed=%v err=%v", regressed, err)
+	}
+	if strings.Contains(buf.String(), "warning") {
+		t.Fatalf("matching environments warned:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	if regressed, err := runCompare([]string{a, b}, &buf); err != nil || regressed {
+		t.Fatalf("env mismatch changed the verdict: regressed=%v err=%v", regressed, err)
+	}
+	for _, want := range []string{
+		`warning: environments differ: cpu "Intel Xeon" -> "AMD EPYC 7B13"`,
+		`warning: environments differ: gomaxprocs "[1 4 8]" -> "[1 2]"`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("compare output missing %q:\n%s", want, buf.String())
+		}
+	}
+	if n := strings.Count(buf.String(), "warning"); n != 2 {
+		t.Fatalf("%d warnings, want 2:\n%s", n, buf.String())
+	}
+
+	// A report rendered before the env block existed is named as such.
+	buf.Reset()
+	if regressed, err := runCompare([]string{bare, a}, &buf); err != nil || regressed {
+		t.Fatalf("bare old report: regressed=%v err=%v", regressed, err)
+	}
+	if !strings.Contains(buf.String(), "warning: environments differ: old report records no environment") {
+		t.Fatalf("missing-env warning absent:\n%s", buf.String())
+	}
+}

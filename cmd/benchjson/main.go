@@ -11,15 +11,18 @@
 //
 // Every `BenchmarkName-P  N  V unit  [V unit ...]` line becomes a
 // sample of its benchmark; repeated lines (from -count or multiple
-// packages) aggregate into min/mean/max per metric. Non-benchmark
-// lines are ignored, so raw `go test` output can be piped in whole.
+// packages) aggregate into min/mean/max per metric. The goos, goarch,
+// pkg and cpu header lines, the Go version and the rows' GOMAXPROCS
+// suffixes are recorded in the report's env block; other lines are
+// ignored, so raw `go test` output can be piped in whole.
 //
 // The compare subcommand diffs two reports' metric means and exits 1
 // when any benchmark regressed by more than the threshold; -bench
-// restricts the diff to matching benchmark names. CI runs it twice
-// against the last committed BENCH file: warn-only across the whole
-// report, and as a hard gate on the SweepSharedCache family at a 15%
-// threshold.
+// restricts the diff to matching benchmark names. Reports measured in
+// different environments still compare, with a warning naming what
+// differs. CI runs it against the last committed BENCH files:
+// warn-only across the whole report, and as hard gates on the
+// SweepSharedCache families at a 15% threshold.
 package main
 
 import (
@@ -29,6 +32,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,9 +54,57 @@ type benchResult struct {
 	Metrics    map[string]metricAgg `json:"metrics"`
 }
 
+// env is the machine and build a report was measured on: the goos,
+// goarch, pkg and cpu header lines of the go test output, the Go
+// version benchjson itself was built with (CI runs it with the same
+// toolchain as the benchmarks), and the GOMAXPROCS values the rows'
+// -P name suffixes carry (a row without one ran at 1).
+type env struct {
+	GOOS       string   `json:"goos,omitempty"`
+	GOARCH     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	Pkgs       []string `json:"pkgs,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	GOMAXPROCS []int    `json:"gomaxprocs,omitempty"`
+}
+
 // report is the document benchjson emits.
 type report struct {
+	Env        *env          `json:"env,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
+}
+
+// parseHeader folds one go test header line ("goos: linux", "cpu: …")
+// into e; other lines leave it unchanged.
+func (e *env) parseHeader(line string) {
+	key, val, ok := strings.Cut(line, ": ")
+	if !ok {
+		return
+	}
+	val = strings.TrimSpace(val)
+	switch key {
+	case "goos":
+		e.GOOS = val
+	case "goarch":
+		e.GOARCH = val
+	case "cpu":
+		e.CPU = val
+	case "pkg":
+		if !slices.Contains(e.Pkgs, val) {
+			e.Pkgs = append(e.Pkgs, val)
+		}
+	}
+}
+
+// procsOf returns the GOMAXPROCS a benchmark row ran at: its -P name
+// suffix, or 1 when go test printed none.
+func procsOf(name string) int {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil && p > 0 {
+			return p
+		}
+	}
+	return 1
 }
 
 // sample is one parsed benchmark line.
@@ -141,11 +194,17 @@ func aggregate(samples []sample) report {
 // convert reads bench output from r and writes the JSON report to w.
 func convert(r io.Reader, w io.Writer) error {
 	var samples []sample
+	e := env{GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		if s, ok := parseLine(sc.Text()); ok {
 			samples = append(samples, s)
+			if p := procsOf(s.name); !slices.Contains(e.GOMAXPROCS, p) {
+				e.GOMAXPROCS = append(e.GOMAXPROCS, p)
+			}
+		} else {
+			e.parseHeader(sc.Text())
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -154,9 +213,12 @@ func convert(r io.Reader, w io.Writer) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("benchjson: no benchmark lines in input")
 	}
+	slices.Sort(e.GOMAXPROCS)
+	rep := aggregate(samples)
+	rep.Env = &e
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(aggregate(samples))
+	return enc.Encode(rep)
 }
 
 func main() {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -82,5 +84,55 @@ func TestConvertRejectsEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := convert(strings.NewReader("PASS\nok\n"), &buf); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestConvertRecordsEnv pins the env block: the go test header lines,
+// every package once in order, the Go version, and the GOMAXPROCS of
+// each row's -P suffix (none means 1).
+func TestConvertRecordsEnv(t *testing.T) {
+	in := sampleOutput + `goos: linux
+goarch: amd64
+pkg: repro
+cpu: AMD EPYC 7B13
+BenchmarkSweepSharedCachePools/Shared   	       1	5412184364 ns/op
+BenchmarkSweepSharedCachePools/Shared-4 	       1	4963752876 ns/op
+`
+	var buf bytes.Buffer
+	if err := convert(strings.NewReader(in), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	e := rep.Env
+	if e == nil {
+		t.Fatalf("no env block:\n%s", buf.String())
+	}
+	if e.GOOS != "linux" || e.GOARCH != "amd64" || e.CPU != "AMD EPYC 7B13" {
+		t.Fatalf("env header %+v", *e)
+	}
+	if got := strings.Join(e.Pkgs, ","); got != "repro/internal/core,repro" {
+		t.Fatalf("pkgs %q", got)
+	}
+	if e.GoVersion != runtime.Version() {
+		t.Fatalf("go_version %q, want %q", e.GoVersion, runtime.Version())
+	}
+	if got := fmt.Sprint(e.GOMAXPROCS); got != "[1 4 8]" {
+		t.Fatalf("gomaxprocs %s, want [1 4 8]", got)
+	}
+}
+
+func TestProcsOf(t *testing.T) {
+	for name, want := range map[string]int{
+		"BenchmarkDecide/Plain-8":               8,
+		"BenchmarkSweepSharedCachePools/Shared": 1,
+		"BenchmarkRefine/n=5-2":                 2,
+		"BenchmarkX-":                           1,
+	} {
+		if got := procsOf(name); got != want {
+			t.Errorf("procsOf(%q) = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -108,3 +108,36 @@ func BenchmarkRefine(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFitUniformFP measures rebid's uniform-probability fit: a
+// heavy group in the 68-pool market's capacity weights (m1.small,
+// m1.medium, c3.large, r3.large units, as a 9-node lock group's
+// per-unit-cheapest fill mixes them) and a 9-member single-type group
+// of base nodes, both at the lock quorum and a four-nines target.
+func BenchmarkFitUniformFP(b *testing.B) {
+	groups := []struct {
+		name  string
+		units []int
+	}{
+		{"Heavy68", []int{68, 34, 34, 24, 16, 16, 68, 24, 34}},
+		{"UnitWeight", []int{16, 16, 16, 16, 16, 16, 16, 16, 16}},
+	}
+	for _, g := range groups {
+		b.Run(g.name, func(b *testing.B) {
+			tot := 0
+			for _, u := range g.units {
+				tot += u
+			}
+			thr := lockSpec().QuorumUnits(tot)
+			var p planScratch
+			if _, ok := p.fitUniformFP(thr, g.units, 0.9999); !ok {
+				b.Fatal("group cannot reach the target")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.fitUniformFP(thr, g.units, 0.9999)
+			}
+		})
+	}
+}

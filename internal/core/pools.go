@@ -95,6 +95,7 @@ type planScratch struct {
 	used              []bool
 	units             []int
 	fps               []float64
+	poly              quorum.UniformThreshold // rebid's uniform-p fit
 	fam               [3]family
 	base, het         poolSelection
 }
@@ -473,7 +474,7 @@ func (p *planScratch) rebid(f *family) bool {
 	if !ok {
 		return false
 	}
-	fp, ok := fitUniformFP(t, p.units, p.target)
+	fp, ok := p.fitUniformFP(t, p.units, p.target)
 	if !ok || fp < p.fp0 {
 		return false
 	}
@@ -545,31 +546,36 @@ func hardenQuorumPools(spot []poolBid, od []odPoolCand, spec strategy.ServiceSpe
 	return kept, od
 }
 
-// fitUniformFP bisects the largest uniform per-member failure
+// fitUniformFP returns the largest uniform per-member failure
 // probability p at which a group with the given capacity units meets
 // the availability target under the exact unit-quorum rule (threshold
-// t). It mirrors quorum.InvertEqualFP's structure — 100 iterations,
-// keeping the feasible lower endpoint — so the returned probability is
-// conservative: the group evaluated at it is guaranteed to pass.
-func fitUniformFP(t int, units []int, target float64) (float64, bool) {
-	fps := make([]float64, len(units))
-	availAt := func(p float64) float64 {
-		for i := range fps {
-			fps[i] = p
-		}
-		return quorum.WeightedThresholdAvailability(t, units, fps)
-	}
-	if availAt(0) < target {
+// t), and false when even perfectly reliable members miss it. With one
+// p shared by every member the availability is a polynomial in p
+// (quorum.UniformThreshold): its subset counts are built once per call,
+// and each step of the bisection (quorum.BisectFP, as in
+// quorum.InvertEqualFP) evaluates it in O(n).
+//
+// The polynomial and the survivor DP round differently, so the result
+// is confirmed once with the exact quorum.WeightedThresholdAvailability
+// — the check evaluate gates on — and, should it miss there, the
+// bisection continues on [0, p] against the DP. The returned
+// probability is therefore conservative: the group evaluated at it is
+// guaranteed to pass.
+func (p *planScratch) fitUniformFP(t int, units []int, target float64) (float64, bool) {
+	p.poly.Build(t, units)
+	if p.poly.Availability(0) < target {
 		return 0, false
 	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if availAt(mid) >= target {
-			lo = mid
-		} else {
-			hi = mid
+	lo := quorum.BisectFP(p.poly.Availability, 0, 1, target)
+	exact := func(x float64) float64 {
+		p.fps = p.fps[:0]
+		for range units {
+			p.fps = append(p.fps, x)
 		}
+		return quorum.WeightedThresholdAvailability(t, units, p.fps)
+	}
+	if exact(lo) < target {
+		lo = quorum.BisectFP(exact, 0, lo, target)
 	}
 	return lo, true
 }

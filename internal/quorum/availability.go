@@ -94,17 +94,29 @@ func InvertEqualFP(n, k int, target float64) (float64, error) {
 	if AvailabilityEqual(n, k, 0) < target {
 		return 0, fmt.Errorf("quorum: %d-of-%d cannot reach availability %v", k, n, target)
 	}
-	lo, hi := 0.0, 1.0
 	// Availability is non-increasing in p; bisect to ~1e-12.
+	return BisectFP(func(p float64) float64 { return AvailabilityEqual(n, k, p) }, 0, 1, target), nil
+}
+
+// BisectFP bisects [lo, hi] for the largest failure probability at
+// which avail meets the target: lo must meet it, and hi, unless it is 1,
+// must miss it. Each step keeps the endpoint property, so once the
+// midpoint rounds onto an endpoint every later step repeats that
+// verdict; the bisection stops there, with the result the full 100
+// steps reach bit for bit.
+func BisectFP(avail func(p float64) float64, lo, hi, target float64) float64 {
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		if AvailabilityEqual(n, k, mid) >= target {
+		if mid == lo || (mid == hi && hi < 1) {
+			break
+		}
+		if avail(mid) >= target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo, nil
+	return lo
 }
 
 // DowntimeSeconds converts an availability level to expected downtime

@@ -249,6 +249,41 @@ func TestInvertEqualFPTargetOne(t *testing.T) {
 	}
 }
 
+// invertEqualFP100 is InvertEqualFP's bisection with all 100 iterations
+// and no fixed-point stop.
+func invertEqualFP100(n, k int, target float64) float64 {
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if AvailabilityEqual(n, k, mid) >= target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestInvertEqualFPFixedPointStopBitIdentical pins that stopping the
+// bisection once the midpoint rounds onto an endpoint returns exactly
+// the 100-iteration answer, over n = 1..40, every k and a target grid.
+func TestInvertEqualFPFixedPointStopBitIdentical(t *testing.T) {
+	targets := []float64{0, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999, 1 - 1e-9, 1 - 1e-12, 1}
+	for n := 1; n <= 40; n++ {
+		for k := 0; k <= n; k++ {
+			for _, target := range targets {
+				got, err := InvertEqualFP(n, k, target)
+				if err != nil {
+					t.Fatalf("InvertEqualFP(%d, %d, %v): %v", n, k, target, err)
+				}
+				if want := invertEqualFP100(n, k, target); got != want {
+					t.Fatalf("InvertEqualFP(%d, %d, %v) = %v, 100-iteration loop %v", n, k, target, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Property: the running-term binomial tail sum agrees with the exact
 // 2^n enumerator on majority systems across random n and p — the
 // incremental recurrence must not drift from the defining Equation 1.

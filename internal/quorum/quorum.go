@@ -8,6 +8,15 @@
 // Node sets are represented as bitmasks over at most 64 nodes; the
 // exact-availability evaluator enumerates subsets and is intended for the
 // small universes of practical Paxos groups (n ≤ ~20).
+//
+// Threshold systems have closed forms that the bidding planner runs on:
+// the binomial tail for k-of-n at a shared p (AvailabilityEqual, inverted
+// by InvertEqualFP for Fig. 3's per-node target), the survivor DP over
+// capacity units for per-node probabilities
+// (WeightedThresholdAvailability), its leave-one-out evaluator for the
+// bid descent, and UniformThreshold: the capacity-weighted availability
+// at a shared p as a polynomial whose subset counts are built once and
+// evaluated in O(n) per probability.
 package quorum
 
 import (
